@@ -123,11 +123,13 @@ void TwoPlStm::release_all(sim::ThreadCtx& ctx, Slot& slot) {
 
 bool TwoPlStm::fail_op(sim::ThreadCtx& ctx) {
   Slot& slot = *slots_[ctx.id()];
+  // A before release: once a lock is free a rival may record an operation
+  // on the variable, and it must land after this transaction's completion.
+  rec_abort_mid_op(ctx);
   release_all(ctx, slot);
   slot.ws.clear();
   slot.active = false;
   ++ctx.stats.aborts;
-  rec_abort_mid_op(ctx);
   return false;
 }
 
@@ -136,18 +138,22 @@ bool TwoPlStm::read(sim::ThreadCtx& ctx, VarId var, std::uint64_t& out) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return false;
   ++ctx.stats.reads;
+
+  // Lock acquisition spins OUTSIDE any recorder window: a holder must be
+  // able to reach its own window to complete and release. (A buffered own
+  // write implies the write lock is already held.)
+  const bool locked = holds_read(slot, var) || holds_write(slot, var) ||
+                      lock_read(ctx, slot, var);
+  // inv after acquisition: a waiter's invocation must not land before the
+  // operations the lock holder records while the waiter spins. A refused
+  // request records inv then A, an invocation that never executed.
   rec_inv(ctx, var, core::OpCode::kRead, 0);
+  if (!locked) return fail_op(ctx);
 
   if (const WriteEntry* own = slot.ws.find(var)) {
     out = own->value;
     rec_ret(ctx, var, core::OpCode::kRead, 0, out);
     return true;
-  }
-
-  if (!holds_read(slot, var) && !holds_write(slot, var)) {
-    // Lock acquisition spins OUTSIDE any recorder window: a holder must be
-    // able to reach its own window to complete and release.
-    if (!lock_read(ctx, slot, var)) return fail_op(ctx);
   }
 
   const RecWindow window = rec_sample_window();
@@ -161,11 +167,12 @@ bool TwoPlStm::write(sim::ThreadCtx& ctx, VarId var, std::uint64_t value) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return false;
   ++ctx.stats.writes;
-  rec_inv(ctx, var, core::OpCode::kWrite, value);
 
-  if (!holds_write(slot, var)) {
-    if (!lock_write(ctx, slot, var)) return fail_op(ctx);
-  }
+  const bool locked = holds_write(slot, var) || lock_write(ctx, slot, var);
+  // inv after acquisition (see read): the exclusive lock orders it after
+  // every operation a previous holder recorded on `var`.
+  rec_inv(ctx, var, core::OpCode::kWrite, value);
+  if (!locked) return fail_op(ctx);
   slot.ws.upsert(var, value);
   rec_ret(ctx, var, core::OpCode::kWrite, value, 0);
   return true;
@@ -195,11 +202,11 @@ bool TwoPlStm::commit(sim::ThreadCtx& ctx) {
 void TwoPlStm::abort(sim::ThreadCtx& ctx) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return;
+  rec_voluntary_abort(ctx);  // tryA·A before release (see fail_op)
   release_all(ctx, slot);
   slot.ws.clear();
   slot.active = false;
   ++ctx.stats.aborts;
-  rec_voluntary_abort(ctx);
 }
 
 }  // namespace optm::stm

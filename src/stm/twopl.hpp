@@ -13,6 +13,16 @@
 // checks recorded runs against core::check_rigorous, and the §3.6
 // blind-write example shows what rigor forbids that opacity allows).
 //
+// Recording invariant (what makes the §3.6 claim hold of a RECORDING, not
+// only of the execution): every event a transaction records on x is
+// recorded while it holds x's lock — the invocation after acquisition, the
+// completion (C or A) before release. Conflicting lock-hold intervals are
+// disjoint, so the single stamp order of the recorder puts conflicting
+// operations in the order the locks grant them, on every schedule. A
+// refused request (wait-die "die") records inv·A without holding the lock;
+// the checkers ignore it, since an invocation answered by A never executed
+// (core::executed_invocations).
+//
 // Design-space coordinates (§6): reads are VISIBLE (the reader bitmap RMW
 // is a shared-memory write on the read path), storage is single-version,
 // and deadlock avoidance is wait-die — a requester older than the lock
